@@ -316,3 +316,64 @@ fn invariants_hold_across_strides() {
         }
     }
 }
+
+/// The GPU channel-first footprint is counted in closed form; it must equal
+/// the block-by-block enumeration it replaced, exactly, on every layer of
+/// the workload tables, for every block tile the GPU tune grid asks for
+/// (the default first), with and without inter-tile reuse. The enumeration
+/// costs milliseconds per layer, so this runs in release builds only.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "enumerates every block of every layer; run with --release"
+)]
+fn gpu_channel_first_traffic_matches_the_enumeration() {
+    use iconv_api::{TuneTarget, TunedConfig};
+    use iconv_core::{reference, BlockDecomposition, FetchOrder};
+    use iconv_gpusim::{traffic, GpuConfig};
+
+    let mut configs: Vec<GpuConfig> = Vec::new();
+    for cand in iconv_tune::candidates(TuneTarget::Gpu) {
+        let TunedConfig::Gpu { hw, .. } = cand else {
+            continue;
+        };
+        let Ok(cfg) = hw.resolve() else { continue };
+        if !configs.iter().any(|c| c.block == cfg.block) {
+            configs.push(cfg);
+        }
+    }
+    assert!(configs.len() >= 3, "tune grid lost its block tiles");
+    assert_eq!(configs[0], GpuConfig::v100(), "default first");
+
+    // One layer per job: each check is independent and the enumeration is
+    // the slow side.
+    let layers = pass_sweep_layers();
+    assert!(layers.len() >= 100, "sweep shrank: {} layers", layers.len());
+    let mismatches: Vec<String> = iconv_par::par_map(&layers, |(name, shape)| {
+        let mut bad = Vec::new();
+        for cfg in &configs {
+            for reuse in [false, true] {
+                let order = if reuse {
+                    FetchOrder::Reordered
+                } else {
+                    FetchOrder::Naive
+                };
+                let decomp = BlockDecomposition::new(*shape, cfg.block, order);
+                let (cold, warm) = reference::layer_fetch_elems(&decomp);
+                let want = if reuse { warm } else { cold } * cfg.elem_bytes;
+                let got = traffic::channel_first(cfg, shape, reuse).a_bytes;
+                if got != want {
+                    bad.push(format!(
+                        "{name} {:?} reuse {reuse}: {got} != {want}",
+                        cfg.block
+                    ));
+                }
+            }
+        }
+        bad
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}

@@ -15,11 +15,17 @@
 //! working-set overlap, so part of each shared-memory fill is already
 //! resident. The paper leaves optimal reordering to future work; the greedy
 //! nearest-neighbour order here is the "simple reordering" it describes.
+//!
+//! The traffic counts are closed forms. For a fixed tap, output `(oh, ow)`
+//! maps to a distinct input pixel, so a block's pixels for that tap are its
+//! output rows inside the tap's `OutputWindow`; what two consecutive taps
+//! share is the same count over a shifted window
+//! (`FilterTile::shared_with`). [`crate::reference`] keeps the
+//! enumeration they are tested against.
 
-use crate::decompose::FilterTile;
+use crate::decompose::{Axis, FilterTile, OutputWindow};
 use iconv_tensor::conv_ref::{filter_dims, ifmap_dims};
 use iconv_tensor::{ConvShape, Coord, Matrix, Scalar, Tensor};
-use std::collections::BTreeSet;
 
 /// Thread-block tiling of the output GEMM (`M = N·Ho·Wo` × `N = Co`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,9 +93,11 @@ pub struct BlockDecomposition {
     shape: ConvShape,
     config: BlockConfig,
     order: FetchOrder,
-    /// Tap order resolved once at construction (the greedy reorder walks
-    /// whole-plane working sets, too costly to recompute per block).
+    /// Tap order resolved once at construction.
     taps: Vec<FilterTile>,
+    /// Per tap in fetch order: its output window, and the window and
+    /// output-matrix row offset it shares with the previous tap.
+    footprints: Vec<(OutputWindow, Option<(OutputWindow, isize)>)>,
 }
 
 impl BlockDecomposition {
@@ -99,11 +107,22 @@ impl BlockDecomposition {
             FetchOrder::Naive => FilterTile::all(&shape),
             FetchOrder::Reordered => reordered_taps(&shape),
         };
+        let footprints = taps
+            .iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let shared = i
+                    .checked_sub(1)
+                    .and_then(|p| t.shared_with(&taps[p], &shape));
+                (t.window(&shape), shared)
+            })
+            .collect();
         Self {
             shape,
             config,
             order,
             taps,
+            footprints,
         }
     }
 
@@ -165,47 +184,6 @@ impl BlockDecomposition {
         slices
     }
 
-    /// The distinct input pixels `(h, w)` a block must fetch for one tap —
-    /// the shared-memory A-subtile footprint, per channel per image.
-    pub fn block_tap_pixels(
-        &self,
-        block: &OutputBlock,
-        tile: FilterTile,
-    ) -> BTreeSet<(usize, usize)> {
-        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
-        let mut set = BTreeSet::new();
-        for r in block.row0..block.row0 + block.rows {
-            let oh = (r / wo) % ho;
-            let ow = r % wo;
-            if let Some(p) = tile.input_pixel(&self.shape, oh, ow) {
-                set.insert(p);
-            }
-        }
-        set
-    }
-
-    /// The distinct `(image, h, w)` input coordinates a block must fetch
-    /// for one tap — per-image, so blocks spanning batch boundaries count
-    /// each image's footprint separately.
-    fn block_tap_coords(
-        &self,
-        block: &OutputBlock,
-        tile: FilterTile,
-    ) -> BTreeSet<(usize, usize, usize)> {
-        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
-        let per_img = ho * wo;
-        let mut set = BTreeSet::new();
-        for r in block.row0..block.row0 + block.rows {
-            let img = r / per_img;
-            let oh = (r / wo) % ho;
-            let ow = r % wo;
-            if let Some((h, w)) = tile.input_pixel(&self.shape, oh, ow) {
-                set.insert((img, h, w));
-            }
-        }
-        set
-    }
-
     /// Global-memory elements fetched by `block` across its decomposed
     /// filter taps, with and without counting reuse from the previously
     /// resident tap's sub-tile: returns `(total_without_reuse,
@@ -218,35 +196,59 @@ impl BlockDecomposition {
     /// the Sec. V inter-tile-reuse model. Channel sub-slicing (`bk`) affects
     /// compute staging, not traffic: each (pixel, channel) is fetched once
     /// per tap visit regardless of slicing.
+    ///
+    /// Counted in O(taps): a tap's distinct pixels are the block's rows in
+    /// its window, and the pixels it shares with the previous tap are the
+    /// rows `r` in the shared window whose partner row `r + offset` is also
+    /// in the block. Equal to [`crate::reference::block_fetch_elems`].
     pub fn block_fetch_elems(&self, block: &OutputBlock) -> (u64, u64) {
-        let ci = self.shape.ci as u64;
-        let mut cold = 0u64;
-        let mut warm = 0u64;
-        let mut prev: Option<BTreeSet<(usize, usize, usize)>> = None;
-        for tile in self.tap_order() {
-            let coords = self.block_tap_coords(block, tile);
-            cold += coords.len() as u64 * ci;
-            let fresh = match &prev {
-                Some(p) => coords.difference(p).count() as u64,
-                None => coords.len() as u64,
-            };
-            warm += fresh * ci;
-            prev = Some(coords);
+        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
+        self.rows_fetch_elems(block.row0..block.row0 + block.rows, ho, wo)
+    }
+
+    /// [`Self::block_fetch_elems`] for the output-matrix rows `rows`.
+    fn rows_fetch_elems(&self, rows: std::ops::Range<usize>, ho: usize, wo: usize) -> (u64, u64) {
+        let (mut cold, mut shared) = (0usize, 0usize);
+        for (window, prev) in &self.footprints {
+            cold += window.count_rows(rows.clone(), ho, wo);
+            if let Some((window, offset)) = prev {
+                let shift = offset.unsigned_abs();
+                let pairs = if *offset >= 0 {
+                    rows.start..rows.end.saturating_sub(shift)
+                } else {
+                    rows.start + shift..rows.end
+                };
+                shared += window.count_rows(pairs, ho, wo);
+            }
         }
-        (cold, warm)
+        let ci = self.shape.ci as u64;
+        (cold as u64 * ci, (cold - shared) as u64 * ci)
     }
 
     /// Whole-layer global traffic in elements: `(naive, with_reuse)` summed
     /// over all blocks. The ratio drives the Fig. 18b speedups.
+    ///
+    /// Every column block of a row block fetches the same A footprint, so
+    /// only row blocks are walked, and only one period of them: a footprint
+    /// depends on where the block starts within its image, and full row
+    /// blocks repeat that phase every `per_img / gcd(bm, per_img)` blocks.
     pub fn layer_fetch_elems(&self) -> (u64, u64) {
-        let mut cold = 0;
-        let mut warm = 0;
-        for b in self.output_blocks() {
-            let (c, w) = self.block_fetch_elems(&b);
-            cold += c;
-            warm += w;
+        let (m, n, _) = self.shape.gemm_mnk();
+        let (ho, wo) = (self.shape.out_h(), self.shape.out_w());
+        let bm = self.config.bm;
+        let per_img = ho * wo;
+        let period = per_img / gcd(bm, per_img);
+        let full = m / bm;
+        let (reps, rest) = (full / period, full % period);
+        let (mut cold, mut warm) = self.rows_fetch_elems(full * bm..m, ho, wo);
+        for i in 0..full.min(period) {
+            let times = (reps + usize::from(i < rest)) as u64;
+            let (c, w) = self.rows_fetch_elems(i * bm..(i + 1) * bm, ho, wo);
+            cold += c * times;
+            warm += w * times;
         }
-        (cold, warm)
+        let blocks_n = n.div_ceil(self.config.bn) as u64;
+        (cold * blocks_n, warm * blocks_n)
     }
 
     /// Functional execution: compute the convolution with the block-level
@@ -295,39 +297,53 @@ impl BlockDecomposition {
 /// Greedy nearest-neighbour tap order: start at `(0,0)`, repeatedly take the
 /// unvisited tap with the largest working-set overlap with the current one
 /// (ties broken by raster order).
+///
+/// Working sets are separable grids, so the overlap of two taps is the
+/// product of a filter-row and a filter-column overlap; both are tabulated
+/// once and the greedy walk is O(taps²) lookups. Equal to
+/// [`crate::reference::reordered_taps`].
 pub fn reordered_taps(shape: &ConvShape) -> Vec<FilterTile> {
     let all = FilterTile::all(shape);
     if all.len() <= 2 {
         return all;
     }
-    // Precompute working sets once; overlap() would recompute per pair.
-    let sets: Vec<BTreeSet<(usize, usize)>> = all.iter().map(|t| t.working_set(shape)).collect();
+    let table = |axis: Axis, n: usize| -> Vec<usize> {
+        (0..n * n)
+            .map(|i| axis.shared(i / n, i % n).map_or(0, |(r, _)| r.len()))
+            .collect()
+    };
+    let rows = table(Axis::h(shape), shape.hf);
+    let cols = table(Axis::w(shape), shape.wf);
+    let overlap =
+        |a: FilterTile, b: FilterTile| rows[a.fh * shape.hf + b.fh] * cols[a.fw * shape.wf + b.fw];
     let mut order = vec![all[0]];
     let mut used = vec![false; all.len()];
     used[0] = true;
-    let mut cur = 0usize;
     for _ in 1..all.len() {
+        let cur = order[order.len() - 1];
         let mut best: Option<(usize, usize)> = None; // (overlap, idx)
-        for (i, t) in all.iter().enumerate() {
-            let _ = t;
+        for (i, &t) in all.iter().enumerate() {
             if used[i] {
                 continue;
             }
-            let ov = sets[cur].intersection(&sets[i]).count();
-            let better = match best {
-                None => true,
-                Some((bov, bidx)) => ov > bov || (ov == bov && i < bidx),
-            };
-            if better {
+            let ov = overlap(cur, t);
+            if best.is_none_or(|(bov, _)| ov > bov) {
                 best = Some((ov, i));
             }
         }
         let (_, idx) = best.expect("unvisited tap must exist");
         used[idx] = true;
         order.push(all[idx]);
-        cur = idx;
     }
     order
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
 }
 
 #[cfg(test)]
@@ -467,7 +483,7 @@ mod tests {
         let blocks = d.output_blocks();
         let tile = FilterTile::new(1, 1);
         // A small block touches at most `rows` pixels.
-        let px = d.block_tap_pixels(&blocks[0], tile);
+        let px = crate::reference::block_tap_pixels(&s, &blocks[0], tile);
         assert!(px.len() <= blocks[0].rows);
         assert!(!px.is_empty());
     }

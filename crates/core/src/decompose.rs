@@ -8,8 +8,9 @@
 //! convolution is the sum of the per-tile products, in **any order**
 //! (commutativity of accumulation — tested in [`crate::algo`]).
 //!
-//! The tile working-set analysis here ([`FilterTile::working_set`],
-//! [`FilterTile::overlap`]) also powers two headline results:
+//! The tile working-set analysis here ([`FilterTile::working_set_len`],
+//! [`FilterTile::overlap`], both closed forms over valid-output intervals)
+//! also powers two headline results:
 //!
 //! * stride-insensitivity: a tile's working set (and its GEMM) shrinks by
 //!   `stride²`, so SRAM-fill latency stays hidden (Fig. 8b);
@@ -20,6 +21,7 @@ use iconv_tensor::conv_ref::{filter_dims, ifmap_dims, input_pixel};
 use iconv_tensor::{ConvShape, Coord, Matrix, Scalar, Tensor};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 /// One decomposed 1×1 filter: the tap at `(fh, fw)`.
 ///
@@ -75,7 +77,10 @@ impl FilterTile {
     }
 
     /// The distinct valid input pixels `(h, w)` this tile touches across the
-    /// whole output plane (per image, per channel): a strided grid.
+    /// whole output plane (per image, per channel): a strided grid. An
+    /// enumeration, kept as the reference the closed forms are tested
+    /// against ([`crate::reference`]) and for callers that need the pixels
+    /// themselves.
     pub fn working_set(&self, shape: &ConvShape) -> BTreeSet<(usize, usize)> {
         let mut set = BTreeSet::new();
         for oh in 0..shape.out_h() {
@@ -88,15 +93,43 @@ impl FilterTile {
         set
     }
 
+    /// The output positions at which this tap reads a valid (non-padding)
+    /// pixel. Each output maps to a distinct pixel, so this is also the
+    /// working set, counted by output.
+    pub(crate) fn window(&self, shape: &ConvShape) -> OutputWindow {
+        OutputWindow {
+            oh: Axis::h(shape).valid(self.fh),
+            ow: Axis::w(shape).valid(self.fw),
+        }
+    }
+
+    /// Where `self` and `other` read the same input pixels: the window of
+    /// outputs at which `self` reads a pixel that `other` also reads, and
+    /// the output-matrix row offset at which `other` reads it (output
+    /// `(oh, ow)` under `self` matches `(oh + Δh, ow + Δw)` under `other`,
+    /// i.e. row `r` matches row `r + Δh·Wo + Δw`).
+    ///
+    /// Two taps share a pixel row only when their dilated offsets differ by
+    /// a multiple of the stride; otherwise the grids are disjoint and this
+    /// is `None`.
+    pub(crate) fn shared_with(
+        &self,
+        other: &FilterTile,
+        shape: &ConvShape,
+    ) -> Option<(OutputWindow, isize)> {
+        let (oh, dh) = Axis::h(shape).shared(self.fh, other.fh)?;
+        let (ow, dw) = Axis::w(shape).shared(self.fw, other.fw)?;
+        Some((OutputWindow { oh, ow }, dh * shape.out_w() as isize + dw))
+    }
+
     /// `|working_set(self) ∩ working_set(other)|` — shared input pixels.
     ///
-    /// Closed form (no padding): the grids `{fh·d − p + s·i}` intersect only
-    /// when tap offsets are congruent modulo the stride; with congruent taps
-    /// the 1-D overlap is `Ho − |Δfh·d| / s`.
+    /// Closed form: both working sets are separable grids, so the overlap
+    /// is `|H ∩ H'| · |W ∩ W'|`, zero unless the taps are congruent modulo
+    /// the stride.
     pub fn overlap(&self, other: &FilterTile, shape: &ConvShape) -> usize {
-        self.working_set(shape)
-            .intersection(&other.working_set(shape))
-            .count()
+        self.shared_with(other, shape)
+            .map_or(0, |(window, _)| window.len())
     }
 
     /// Fraction of `self`'s working set also needed by `other`: the data
@@ -104,12 +137,11 @@ impl FilterTile {
     ///
     /// Returns 0 when `self`'s working set is empty (degenerate shapes).
     pub fn reuse_fraction(&self, other: &FilterTile, shape: &ConvShape) -> f64 {
-        let ws = self.working_set(shape);
-        if ws.is_empty() {
+        let len = self.working_set_len(shape);
+        if len == 0 {
             return 0.0;
         }
-        let shared = ws.intersection(&other.working_set(shape)).count();
-        shared as f64 / ws.len() as f64
+        self.overlap(other, shape) as f64 / len as f64
     }
 
     /// The `M × Ci` lowered-matrix slice for this tile: the operand of its
@@ -145,49 +177,129 @@ impl FilterTile {
         })
     }
 
-    /// Number of distinct output rows `oh` whose tap lands on a valid input
-    /// row (not padding) for this tile.
-    pub fn valid_out_h(&self, shape: &ConvShape) -> usize {
-        count_valid(
-            shape.out_h(),
-            shape.stride_h,
-            self.fh * shape.dil_h,
-            shape.pad_h,
-            shape.hi,
-        )
-    }
-
-    /// Number of distinct output columns `ow` whose tap lands on a valid
-    /// input column for this tile.
-    pub fn valid_out_w(&self, shape: &ConvShape) -> usize {
-        count_valid(
-            shape.out_w(),
-            shape.stride_w,
-            self.fw * shape.dil_w,
-            shape.pad_w,
-            shape.wi,
-        )
-    }
-
     /// `|working_set|` in closed form — the pixel grid is a product of the
     /// valid output rows and columns (each output maps to a distinct input
     /// pixel, strides being positive). Tested equal to
     /// [`FilterTile::working_set`]`.len()`. Shrinks ∝ `1/stride²`, the key
     /// to Fig. 8b; multiplied out by channels/batch elsewhere.
     pub fn working_set_len(&self, shape: &ConvShape) -> usize {
-        self.valid_out_h(shape) * self.valid_out_w(shape)
+        self.window(shape).len()
     }
 }
 
-/// Count `o ∈ [0, out)` with `0 ≤ o·stride + off − pad < extent`.
-fn count_valid(out: usize, stride: usize, off: usize, pad: usize, extent: usize) -> usize {
-    (0..out)
-        .filter(|o| {
-            (o * stride + off)
-                .checked_sub(pad)
-                .is_some_and(|x| x < extent)
-        })
-        .count()
+/// A product of an output-row and an output-column interval, per image:
+/// the outputs at which a tap (or a pair of taps) reads valid pixels.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct OutputWindow {
+    /// Output rows `oh` in the window.
+    pub(crate) oh: Range<usize>,
+    /// Output columns `ow` in the window.
+    pub(crate) ow: Range<usize>,
+}
+
+impl OutputWindow {
+    /// Outputs in the window, per image.
+    pub(crate) fn len(&self) -> usize {
+        self.oh.len() * self.ow.len()
+    }
+
+    /// How many output-matrix rows in `rows` fall inside the window, on an
+    /// `out_h × out_w` output plane. Rows are raster order over `(image,
+    /// oh, ow)`, so a range spans partial and whole output rows of one or
+    /// more images; counted in O(1).
+    pub(crate) fn count_rows(&self, rows: Range<usize>, out_h: usize, out_w: usize) -> usize {
+        if rows.is_empty() {
+            return 0;
+        }
+        self.rows_below(rows.end, out_h, out_w) - self.rows_below(rows.start, out_h, out_w)
+    }
+
+    /// `#{r < x : r in the window}`: whole output rows before `x`, each
+    /// contributing `|ow|` when its `oh` is in the window, plus the partial
+    /// row `x` ends in.
+    fn rows_below(&self, x: usize, ho: usize, wo: usize) -> usize {
+        let (g, ow) = (x / wo, x % wo);
+        let (img, oh) = (g / ho, g % ho);
+        let full = img * self.oh.len() + oh.clamp(self.oh.start, self.oh.end) - self.oh.start;
+        let part = if self.oh.contains(&oh) {
+            ow.clamp(self.ow.start, self.ow.end) - self.ow.start
+        } else {
+            0
+        };
+        full * self.ow.len() + part
+    }
+}
+
+/// One spatial axis of a convolution: the geometry that decides which
+/// outputs a tap reads a valid pixel at, and which outputs two taps share.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Axis {
+    out: usize,
+    stride: usize,
+    dil: usize,
+    pad: usize,
+    extent: usize,
+}
+
+impl Axis {
+    /// The height axis (`oh`, filter rows `fh`).
+    pub(crate) fn h(shape: &ConvShape) -> Self {
+        Self {
+            out: shape.out_h(),
+            stride: shape.stride_h,
+            dil: shape.dil_h,
+            pad: shape.pad_h,
+            extent: shape.hi,
+        }
+    }
+
+    /// The width axis (`ow`, filter columns `fw`).
+    pub(crate) fn w(shape: &ConvShape) -> Self {
+        Self {
+            out: shape.out_w(),
+            stride: shape.stride_w,
+            dil: shape.dil_w,
+            pad: shape.pad_w,
+            extent: shape.wi,
+        }
+    }
+
+    /// The outputs `o ∈ [0, out)` whose input coordinate `o·stride + f·dil
+    /// − pad` under filter index `f` lies in `[0, extent)`. The coordinate
+    /// grows with `o`, so they form one interval; every closed-form count
+    /// in this module and in [`crate::block`] starts from it.
+    pub(crate) fn valid(&self, f: usize) -> Range<usize> {
+        let off = f * self.dil;
+        let lo = self
+            .pad
+            .saturating_sub(off)
+            .div_ceil(self.stride)
+            .min(self.out);
+        let hi = (self.pad + self.extent)
+            .saturating_sub(off)
+            .div_ceil(self.stride)
+            .clamp(lo, self.out);
+        lo..hi
+    }
+
+    /// Output `o` under filter index `f` reads the coordinate that output
+    /// `o + shift` reads under `g`, where `shift = (f − g)·dil / stride`.
+    /// Returns the valid `o` whose partner is also valid, with the shift,
+    /// or `None` when the offsets are not congruent modulo the stride (the
+    /// two grids are disjoint).
+    pub(crate) fn shared(&self, f: usize, g: usize) -> Option<(Range<usize>, isize)> {
+        let delta = (f as isize - g as isize) * self.dil as isize;
+        let stride = self.stride as isize;
+        if delta % stride != 0 {
+            return None;
+        }
+        let shift = delta / stride;
+        let (mine, theirs) = (self.valid(f), self.valid(g));
+        let lo = (theirs.start as isize - shift).max(0) as usize;
+        let hi = (theirs.end as isize - shift).max(0) as usize;
+        let start = mine.start.max(lo);
+        Some((start..mine.end.min(hi).max(start), shift))
+    }
 }
 
 impl fmt::Display for FilterTile {

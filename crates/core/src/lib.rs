@@ -19,6 +19,8 @@
 //!   the algorithm onto a TPU-style systolic array;
 //! * [`block`] — the block-level variant for output-partitioned engines
 //!   (GPU tensor cores), with the inter-tile-reuse reordering;
+//! * [`reference`](mod@reference) — the enumerating footprint counts the
+//!   closed forms in [`decompose`] and [`block`] are tested against;
 //! * [`algo`] — functional executors proving every variant equal to direct
 //!   convolution;
 //! * [`backward`] — the training pass: weight and input gradients lowered
@@ -53,6 +55,7 @@ pub mod block;
 pub mod decompose;
 pub mod lowered;
 pub mod pass;
+pub mod reference;
 pub mod schedule;
 pub mod sparse;
 

@@ -5,6 +5,7 @@
 use iconv_core::addrgen::{AddrGen, VectorMemSpec};
 use iconv_core::block::{reordered_taps, BlockConfig, BlockDecomposition, FetchOrder};
 use iconv_core::decompose::FilterTile;
+use iconv_core::reference;
 use iconv_core::schedule::{tpu_group_size, TileSchedule};
 use iconv_tensor::conv_ref::{direct_conv, filter_dims, ifmap_dims};
 use iconv_tensor::{ColumnOrder, ConvShape, Layout, Tensor};
@@ -31,6 +32,85 @@ fn conv_shapes() -> impl Strategy<Value = ConvShape> {
                 .build()
                 .ok()
         })
+}
+
+/// Ragged shapes for the footprint counts: strides 1–3, dilations 1–2 and
+/// independent per-axis geometry, with no padding, explicit leading
+/// padding, or asymmetric "same" padding (even dilated filters pad one
+/// more at the end).
+fn footprint_shapes() -> impl Strategy<Value = ConvShape> {
+    (
+        (1usize..=4, 1usize..=3, 1usize..=3),
+        (1usize..=4, 1usize..=4),
+        (1usize..=3, 1usize..=3, 1usize..=2, 1usize..=2),
+        (0usize..=6, 0usize..=6),
+        (0usize..=2, 0usize..=2, 0usize..=2),
+    )
+        .prop_filter_map(
+            "filter must fit",
+            |((n, ci, co), (hf, wf), (sh, sw, dh, dw), (xh, xw), (pad, ph, pw))| {
+                let b = ConvShape::new(
+                    n,
+                    ci,
+                    dh * (hf - 1) + 1 + xh,
+                    dw * (wf - 1) + 1 + xw,
+                    co,
+                    hf,
+                    wf,
+                )
+                .stride_hw(sh, sw)
+                .dilation_hw(dh, dw);
+                match pad {
+                    0 => b,
+                    1 => b.pad_hw(ph, pw),
+                    _ => b.same_pad(),
+                }
+                .build()
+                .ok()
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The closed-form block footprints equal the enumerated ones exactly:
+    /// per block and summed over the layer, cold and warm, for both fetch
+    /// orders, with `bm` from 1 row up to past three images (so a block
+    /// can span three or more) and several column blocks. The closed-form
+    /// greedy tap order and pairwise overlaps equal the enumerated ones.
+    #[test]
+    fn closed_form_footprint_matches_reference(
+        shape in footprint_shapes(),
+        bm_raw in 0usize..10_000,
+        bn in 1usize..=3,
+    ) {
+        let per_img = shape.out_h() * shape.out_w();
+        let bm = 1 + bm_raw % (3 * per_img + 2);
+        let cfg = BlockConfig { bm, bn, bk: 2 };
+        prop_assert_eq!(reordered_taps(&shape), reference::reordered_taps(&shape));
+        let taps = FilterTile::all(&shape);
+        for a in &taps {
+            for b in &taps {
+                prop_assert_eq!(a.overlap(b, &shape), reference::overlap(a, b, &shape), "{} {}", a, b);
+            }
+        }
+        for order in [FetchOrder::Naive, FetchOrder::Reordered] {
+            let d = BlockDecomposition::new(shape, cfg, order);
+            for block in d.output_blocks() {
+                prop_assert_eq!(
+                    d.block_fetch_elems(&block),
+                    reference::block_fetch_elems(&d, &block),
+                    "{:?} {:?}", order, block
+                );
+            }
+            prop_assert_eq!(
+                d.layer_fetch_elems(),
+                reference::layer_fetch_elems(&d),
+                "{:?} bm {}", order, bm
+            );
+        }
+    }
 }
 
 proptest! {

@@ -19,7 +19,6 @@
 use crate::config::GpuConfig;
 use iconv_core::{BlockDecomposition, ConvPass, FetchOrder};
 use iconv_tensor::ConvShape;
-use std::collections::HashMap;
 
 /// Traffic (bytes) and the characteristic DRAM run length of a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,39 +93,23 @@ pub fn channel_last(cfg: &GpuConfig, shape: &ConvShape) -> Traffic {
 }
 
 /// Traffic of the block-level channel-first schedule, with or without the
-/// inter-tile reuse reordering. Exact per-block accounting via
-/// [`BlockDecomposition::block_fetch_elems`], memoized over the repeating
-/// block pattern within each batch image.
+/// inter-tile reuse reordering. Per block, each decomposed tap fetches its
+/// distinct pixels — the block's output rows inside the tap's valid window,
+/// counted in closed form — and with reuse only those the previously
+/// resident tap did not already bring in (a shifted window). Column blocks
+/// share their row block's footprint, so the count walks one period of row
+/// blocks ([`BlockDecomposition::layer_fetch_elems`]).
 pub fn channel_first(cfg: &GpuConfig, shape: &ConvShape, reuse: bool) -> Traffic {
     let order = if reuse {
         FetchOrder::Reordered
     } else {
         FetchOrder::Naive
     };
-    let decomp = BlockDecomposition::new(*shape, cfg.block, order);
-    let per_img = shape.out_h() * shape.out_w();
-    // Blocks whose row ranges are congruent modulo the per-image row count
-    // have identical pixel footprints: memoize on the phase. NOTE: the
-    // per-block *image multiplier* varies between same-phase blocks only
-    // when a block spans a batch boundary, which the phase key also
-    // captures via `row0 % per_img + rows > per_img`.
-    let mut cache: HashMap<(usize, usize), u64> = HashMap::new();
-    let mut a_elems = 0u64;
-    for block in decomp.output_blocks() {
-        let key = (block.row0 % per_img, block.rows);
-        let elems = *cache.entry(key).or_insert_with(|| {
-            let (cold, warm) = decomp.block_fetch_elems(&block);
-            // The paper's naive order "has no data reuse" (Fig. 12): each
-            // tap's sub-tile is fetched in full. The reordering keeps the
-            // previous tap resident and fetches only the fresh pixels.
-            if reuse {
-                warm
-            } else {
-                cold
-            }
-        });
-        a_elems += elems;
-    }
+    let (cold, warm) = BlockDecomposition::new(*shape, cfg.block, order).layer_fetch_elems();
+    // The paper's naive order "has no data reuse" (Fig. 12): each tap's
+    // sub-tile is fetched in full. The reordering keeps the previous tap
+    // resident and fetches only the fresh pixels.
+    let a_elems = if reuse { warm } else { cold };
     let (_bm, _bn, b_bytes, c_bytes) = common_bc(cfg, shape);
     // Tap fetches: contiguous across channels (× consecutive pixels when the
     // layer is dense in `w`).
@@ -312,13 +295,22 @@ mod tests {
     }
 
     #[test]
-    fn memoization_matches_direct_sum() {
-        // The memoized per-phase cache must reproduce the exact per-block
-        // sum from iconv-core.
+    fn channel_first_matches_reference_enumeration() {
+        // The closed-form count must reproduce the enumerated per-block
+        // sum over every m×n block, for both fetch orders, including row
+        // blocks that span images and a ragged last block.
         let s = ConvShape::square(3, 4, 10, 8, 3, 1, 1).unwrap();
-        let t = channel_first(&cfg(), &s, true);
-        let decomp = BlockDecomposition::new(s, cfg().block, FetchOrder::Reordered);
-        let (_, warm) = decomp.layer_fetch_elems();
-        assert_eq!(t.a_bytes, warm * cfg().elem_bytes);
+        for reuse in [false, true] {
+            let t = channel_first(&cfg(), &s, reuse);
+            let order = if reuse {
+                FetchOrder::Reordered
+            } else {
+                FetchOrder::Naive
+            };
+            let decomp = BlockDecomposition::new(s, cfg().block, order);
+            let (cold, warm) = iconv_core::reference::layer_fetch_elems(&decomp);
+            let want = if reuse { warm } else { cold };
+            assert_eq!(t.a_bytes, want * cfg().elem_bytes, "reuse {reuse}");
+        }
     }
 }

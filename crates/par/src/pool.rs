@@ -192,6 +192,11 @@ impl WorkerPool {
     /// Job panics absorbed so far. Every count here is a job that died
     /// without killing its worker: the thread caught the unwind and went
     /// back to the queue.
+    ///
+    /// A panic is counted once its unwind is caught, which is after the
+    /// panic hook has run — other workers may finish later jobs first. The
+    /// count is final for every submitted job once
+    /// [`shutdown`](WorkerPool::shutdown) has joined the workers.
     pub fn panics_caught(&self) -> usize {
         self.shared.panics.load(Ordering::Relaxed)
     }

@@ -46,8 +46,12 @@ fn panicking_job_is_absorbed_and_pool_keeps_working() {
         );
     }
     assert_eq!(done.load(Ordering::Relaxed), 32);
-    assert_eq!(pool.panics_caught(), 1);
+    // The worker counts the panic only once `catch_unwind` returns, which
+    // is after the panic hook has printed (and, under RUST_BACKTRACE,
+    // symbolized) its report — the other worker can drain all 32 jobs in
+    // that time. Joining the workers makes the count final.
     pool.shutdown();
+    assert_eq!(pool.panics_caught(), 1);
 }
 
 /// A single-worker pool survives a panic: with only one thread, a lost
@@ -60,8 +64,8 @@ fn single_worker_pool_survives_a_panic() {
     let (tx, rx) = mpsc::channel::<u32>();
     pool.try_submit(move || tx.send(7).unwrap()).unwrap();
     assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
-    assert_eq!(pool.panics_caught(), 1);
     pool.shutdown();
+    assert_eq!(pool.panics_caught(), 1);
 }
 
 /// Many interleaved panics: the panic count is exact and every healthy job
