@@ -10,9 +10,8 @@
 //! cross-check fails.
 
 use iconv_api::proto::tuned_config_json;
-use iconv_api::TuneTarget;
-use iconv_bench::experiments::tune_table::{target_label, tune_opts};
-use iconv_tune::{tune, InProcessSource, TuneEstimate, ALL_TARGETS};
+use iconv_bench::experiments::tune_table::{sweep, target_label};
+use iconv_tune::{TuneEstimate, TuneOptions, ALL_TARGETS};
 use iconv_workloads::Model;
 
 const USAGE: &str = "usage: tunebench [--out PATH] [--skip-serve-check]";
@@ -52,10 +51,7 @@ fn cycles(v: f64) -> String {
 /// Replay a slice of the sweep through a live server and check that serve
 /// answers match the in-process search and the tune ledger conserves.
 /// Returns the JSON fragment for the `serve` key, plus pass/fail.
-fn serve_cross_check(
-    models: &[Model],
-    reference: &[(TuneTarget, Vec<Vec<TuneEstimate>>)],
-) -> (String, bool) {
+fn serve_cross_check(models: &[Model], reference: &[Vec<Vec<TuneEstimate>>]) -> (String, bool) {
     let handle = match iconv_serve::spawn(iconv_serve::ServerConfig::default()) {
         Ok(h) => h,
         Err(err) => return (format!("{{\"error\":\"spawn: {err}\"}}"), false),
@@ -71,7 +67,7 @@ fn serve_cross_check(
     // full serve path (search, cache, ledger) for every target kind.
     let mut matches = true;
     let mut asked = 0u64;
-    for (ti, (target, per_model)) in reference.iter().enumerate() {
+    for (ti, (target, per_model)) in ALL_TARGETS.iter().zip(reference).enumerate() {
         let mi = ti % models.len();
         for (li, l) in models[mi].layers.iter().enumerate() {
             // Twice: the repeat must come from the tune store, not a new
@@ -117,38 +113,32 @@ fn main() {
         }
     };
     let t0 = std::time::Instant::now();
-    let src = InProcessSource::new();
-    let opts = tune_opts();
+    let jobs = iconv_par::default_jobs();
     let models = iconv_workloads::all_models(BATCH);
 
     // The full sweep: every layer x every target, kept in (target, model,
-    // layer) order for both the JSON and the serve cross-check.
+    // layer) order for both the JSON and the serve cross-check. `jobs` is
+    // the fan-out across searches; each search runs on one worker.
+    let results = sweep(&models, jobs);
     let mut violations = 0u64;
-    let mut sweep: Vec<(TuneTarget, Vec<Vec<TuneEstimate>>)> = Vec::new();
     let mut out = String::with_capacity(1 << 16);
     out.push_str("{\n  \"bench\": \"tune\",\n");
     out.push_str(&format!(
-        "  \"config\": {{\"batch\": {BATCH}, \"jobs\": {}, \"batch_chunk\": {}}},\n",
-        opts.jobs, opts.batch_chunk
+        "  \"config\": {{\"batch\": {BATCH}, \"jobs\": {jobs}, \"batch_chunk\": {}}},\n",
+        TuneOptions::default().batch_chunk
     ));
     out.push_str("  \"targets\": [\n");
-    for (ti, &target) in ALL_TARGETS.iter().enumerate() {
-        let mut per_model: Vec<Vec<TuneEstimate>> = Vec::with_capacity(models.len());
+    for (ti, (&target, per_model)) in ALL_TARGETS.iter().zip(&results).enumerate() {
         out.push_str(&format!(
             "    {{\"target\": \"{}\", \"models\": [\n",
             target_label(target)
         ));
-        for (mi, m) in models.iter().enumerate() {
-            let ests: Vec<TuneEstimate> = m
-                .layers
-                .iter()
-                .map(|l| tune(&src, &l.shape, target, &opts))
-                .collect();
+        for (mi, (m, ests)) in models.iter().zip(per_model).enumerate() {
             out.push_str(&format!(
                 "      {{\"model\": \"{}\", \"layers\": [\n",
                 m.name
             ));
-            for (li, (l, est)) in m.layers.iter().zip(&ests).enumerate() {
+            for (li, (l, est)) in m.layers.iter().zip(ests).enumerate() {
                 if est.tuned_cycles > est.default_cycles {
                     eprintln!(
                         "tunebench: VIOLATION {} {}/{}: tuned {} > default {}",
@@ -179,19 +169,17 @@ fn main() {
                 "      ]}}{}\n",
                 if mi + 1 < models.len() { "," } else { "" }
             ));
-            per_model.push(ests);
         }
         out.push_str(&format!(
             "    ]}}{}\n",
             if ti + 1 < ALL_TARGETS.len() { "," } else { "" }
         ));
-        sweep.push((target, per_model));
     }
     out.push_str("  ],\n");
     out.push_str(&format!("  \"violations\": {violations},\n"));
 
     let serve_ok = if serve_check {
-        let (json, ok) = serve_cross_check(&models, &sweep);
+        let (json, ok) = serve_cross_check(&models, &results);
         out.push_str(&format!("  \"serve\": {json},\n"));
         ok
     } else {

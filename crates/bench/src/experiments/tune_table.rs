@@ -1,18 +1,23 @@
 //! **Tune table** — per-layer design-space search versus the Table-II
 //! defaults, across the full CNN workload suite.
 //!
-//! For every layer of every model, [`iconv_tune::tune`] enumerates the
-//! candidate grid (TPU: mode x array x layout x schedule; GPU: algo x
+//! For every layer of every model, the search enumerates the candidate
+//! grid (TPU: mode x array x layout x schedule; GPU: algo x
 //! block/residency/schedule) and reports the strict-minimum winner next to
 //! the paper's fixed configuration. Candidate 0 *is* the default, so tuned
 //! cycles can never exceed default cycles — the report shows how much the
 //! fixed design points of Table II leave on the table per network, and the
-//! AlexNet detail shows *which* design-space moves win per layer. The
-//! machine-readable form of the same sweep is `tunebench` -> `BENCH_tune.json`.
+//! AlexNet detail shows *which* design-space moves win per layer. The whole
+//! sweep is one [`iconv_tune::tune_all`] call: each distinct
+//! `(shape, target)` search runs once, on one worker, with the searches
+//! fanned over the ambient worker count. The machine-readable form of the
+//! same sweep is `tunebench` -> `BENCH_tune.json`.
 
 use iconv_api::proto::tpu_mode_wire;
 use iconv_api::{TpuChip, TuneTarget, TunedConfig};
-use iconv_tune::{tune, InProcessSource, TuneOptions, ALL_TARGETS};
+use iconv_tensor::ConvShape;
+use iconv_tune::{tune_all, InProcessSource, TuneEstimate, ALL_TARGETS};
+use iconv_workloads::Model;
 
 use crate::fmt::{banner, header};
 
@@ -57,30 +62,42 @@ pub fn describe(cfg: &TunedConfig) -> String {
     }
 }
 
-/// The measurement options every tune in this report (and `tunebench`)
-/// uses: fan the candidate table over the ambient worker count — the search
-/// result is pinned invariant to both knobs, so the report bytes match a
-/// sequential run.
-pub fn tune_opts() -> TuneOptions {
-    TuneOptions {
-        jobs: iconv_par::default_jobs(),
-        batch_chunk: 16,
-    }
+/// Every layer of every model for every target, in (target, model, layer)
+/// order, searched with [`tune_all`] on `jobs` workers. Returns one
+/// estimate table per target, indexed `[model][layer]`.
+pub fn sweep(models: &[Model], jobs: usize) -> Vec<Vec<Vec<TuneEstimate>>> {
+    let pairs: Vec<(ConvShape, TuneTarget)> = ALL_TARGETS
+        .iter()
+        .flat_map(|&target| {
+            models
+                .iter()
+                .flat_map(move |m| m.layers.iter().map(move |l| (l.shape, target)))
+        })
+        .collect();
+    let mut flat = tune_all(&InProcessSource::new(), jobs, &pairs).into_iter();
+    ALL_TARGETS
+        .iter()
+        .map(|_| {
+            models
+                .iter()
+                .map(|m| flat.by_ref().take(m.layers.len()).collect())
+                .collect()
+        })
+        .collect()
 }
 
 /// Render the experiment's full report.
 pub fn report() -> String {
     let mut out = String::new();
-    let src = InProcessSource::new();
-    let opts = tune_opts();
     let models = iconv_workloads::all_models(8);
+    let results = sweep(&models, iconv_par::default_jobs());
 
-    for target in ALL_TARGETS {
+    for (target, per_model) in ALL_TARGETS.iter().zip(&results) {
         banner(
             &mut out,
             &format!(
                 "Tuned vs Table-II default cycles, target {} (batch 8)",
-                target_label(target)
+                target_label(*target)
             ),
         );
         header(
@@ -95,12 +112,11 @@ pub fn report() -> String {
             ],
             &[12, 6, 8, 12, 12, 7],
         );
-        for m in &models {
+        for (m, ests) in models.iter().zip(per_model) {
             let mut default = 0.0f64;
             let mut tuned = 0.0f64;
             let mut improved = 0usize;
-            for l in &m.layers {
-                let est = tune(&src, &l.shape, target, &opts);
+            for (l, est) in m.layers.iter().zip(ests) {
                 default += est.default_cycles * l.count as f64;
                 tuned += est.tuned_cycles * l.count as f64;
                 if est.tuned_cycles < est.default_cycles {
@@ -120,7 +136,8 @@ pub fn report() -> String {
         }
     }
 
-    // Per-layer detail for one network: which design-space move wins where.
+    // Per-layer detail for one network: which design-space move wins where
+    // (the tpu-v2 results of the sweep above).
     let alexnet = &models[0];
     banner(
         &mut out,
@@ -131,9 +148,11 @@ pub fn report() -> String {
         &["layer", "default", "tuned", "speedup", "best config"],
         &[8, 10, 10, 7, 30],
     );
-    let v2 = TuneTarget::Tpu { chip: TpuChip::V2 };
-    for l in &alexnet.layers {
-        let est = tune(&src, &l.shape, v2, &opts);
+    let v2 = ALL_TARGETS
+        .iter()
+        .position(|&t| t == TuneTarget::Tpu { chip: TpuChip::V2 })
+        .expect("tpu-v2 is a tune target");
+    for (l, est) in alexnet.layers.iter().zip(&results[v2][0]) {
         crate::outln!(
             out,
             "{:>8}  {:>10.0}  {:>10.0}  {:>7.3}  {}",

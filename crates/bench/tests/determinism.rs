@@ -4,21 +4,13 @@
 use iconv_bench::{par, summary, traces};
 
 /// Every experiment report is byte-identical between a sequential run and a
-/// 4-worker run, and arrives in figure order. The slowest experiments
-/// (fig17/fig18 GPU sweeps, the full tune-table search) are skipped here to
-/// keep the debug-mode suite fast; `par::tests`, the tune proptests, and
-/// the release-mode `expall` cover the full set.
+/// 4-worker run, and arrives in figure order.
 #[test]
 fn experiment_reports_identical_across_worker_counts() {
-    let set: Vec<_> = par::EXPERIMENTS
-        .iter()
-        .copied()
-        .filter(|(n, _)| *n != "fig17" && *n != "fig18" && *n != "tune")
-        .collect();
-    let seq = par::run_set(1, &set);
-    let par4 = par::run_set(4, &set);
+    let seq = par::run_set(1, par::EXPERIMENTS);
+    let par4 = par::run_set(4, par::EXPERIMENTS);
     assert_eq!(seq.len(), par4.len());
-    for ((s, p), (name, _)) in seq.iter().zip(&par4).zip(&set) {
+    for ((s, p), (name, _)) in seq.iter().zip(&par4).zip(par::EXPERIMENTS) {
         assert_eq!(s.name, *name, "order drift");
         assert_eq!(p.name, *name, "order drift");
         assert!(!s.report.is_empty(), "{name} rendered nothing");

@@ -8,8 +8,8 @@
 use iconv_api::table::workload_works;
 use iconv_api::Work;
 use iconv_bench::serve_source::ServeSource;
-use iconv_bench::summary::{CycleCount, CycleSource, InProcessSource};
 use iconv_serve::{spawn, ServerConfig};
+use iconv_tune::{CycleCount, CycleSource, InProcessSource};
 
 fn assert_bit_identical(got: &[CycleCount], want: &[CycleCount], ctx: &str) {
     assert_eq!(got.len(), want.len(), "{ctx}: length mismatch");

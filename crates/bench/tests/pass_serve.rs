@@ -5,8 +5,8 @@
 
 use iconv_api::table::{pass_leg_works, PASS_LEGS};
 use iconv_bench::serve_source::ServeSource;
-use iconv_bench::summary::{CycleCount, CycleSource, InProcessSource};
 use iconv_serve::{spawn, ServerConfig};
+use iconv_tune::{CycleCount, CycleSource, InProcessSource};
 
 #[test]
 fn every_pass_leg_serves_bit_identically_and_conserves() {

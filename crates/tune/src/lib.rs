@@ -11,21 +11,23 @@
 //! exceed default cycles.
 //!
 //! Everything is deterministic: same `(shape, target)` in, byte-identical
-//! [`iconv_api::proto::TuneEstimate`] out, for every worker count and
-//! measurement chunking (proptest-pinned). That is what lets a tune ride
-//! the serve stack as ordinary cached work — `Work::Tune` has a canonical
-//! key like any estimate, so the striped cache, single-flight, the batch
-//! op, and the `routed` hash ring all apply unchanged.
+//! [`iconv_api::proto::TuneEstimate`] out, for every measurement chunking
+//! (proptest-pinned). One search runs on one thread; the worker fan-out
+//! lives across searches, in [`search::tune_all`], which runs each
+//! distinct pair once and returns exactly what per-pair [`search::tune`]
+//! calls would, for every worker count (also proptest-pinned). That is
+//! what lets a tune ride the serve stack as ordinary cached work —
+//! `Work::Tune` has a canonical key like any estimate, so the striped
+//! cache, single-flight, the batch op, and the `routed` hash ring all
+//! apply unchanged.
 //!
 //! [`TuneCache`] is the durable layer: a canonical-key -> best-config map
 //! with a lossless JSON round trip (cycles as IEEE-754 bit strings), used
 //! by `served --tune-cache` for warm boots and by `tunebench` for
 //! `BENCH_tune.json`.
 //!
-//! [`CycleSource`] (and [`InProcessSource`]) moved here from
-//! `iconv-bench`'s summary module so the tuner, the bench runners, and the
-//! serve engine measure through one trait; `iconv-bench` re-exports them
-//! under the historical paths.
+//! [`CycleSource`] (and [`InProcessSource`]) live here so the tuner, the
+//! bench runners, and the serve engine measure through one trait.
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,8 @@ pub mod store;
 
 pub use iconv_api::proto::TuneEstimate;
 pub use iconv_api::{TuneTarget, TunedConfig};
-pub use search::{candidates, default_config, tune, tune_key, tune_work, TuneOptions, ALL_TARGETS};
+pub use search::{
+    candidates, default_config, tune, tune_all, tune_key, tune_work, TuneOptions, ALL_TARGETS,
+};
 pub use source::{CycleCount, CycleSource, InProcessSource};
 pub use store::TuneCache;

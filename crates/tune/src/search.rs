@@ -8,7 +8,7 @@
 //! *is* the default, the winner's cycles are `<=` the default's by
 //! construction — the CI gate checks the inequality end to end anyway.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 use iconv_api::proto::TuneEstimate;
 use iconv_api::{canonical_key, GpuHwSpec, TpuChip, TpuHwSpec, TuneTarget, TunedConfig, Work};
@@ -19,14 +19,11 @@ use iconv_tpusim::SimMode;
 
 use crate::source::{CycleCount, CycleSource};
 
-/// Measurement mechanics for a search. Neither knob may change the result:
-/// `estimate_many` preserves order for every worker count, and chunking
-/// only partitions the candidate table — the determinism proptests pin
-/// both invariances byte-for-byte.
+/// Measurement mechanics for a search. Chunking only partitions the
+/// candidate table, so it never changes the result — the determinism
+/// proptests pin that byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneOptions {
-    /// Worker count handed to [`CycleSource::estimate_many`].
-    pub jobs: usize,
     /// Candidates measured per `estimate_many` call (a networked source
     /// turns each chunk into one batched request). Clamped to >= 1.
     pub batch_chunk: usize,
@@ -34,10 +31,7 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        Self {
-            jobs: 1,
-            batch_chunk: 8,
-        }
+        Self { batch_chunk: 16 }
     }
 }
 
@@ -153,14 +147,16 @@ fn is_valid(cfg: &TunedConfig) -> bool {
     }
 }
 
-/// Run the design-space search for one layer.
+/// Run the design-space search for one layer, on the calling thread.
 ///
 /// Deterministic in every argument: the candidate order is fixed, pruning
 /// is value-based, measurement order is preserved by the
-/// [`CycleSource::estimate_many`] contract for any `opts.jobs`, and
-/// chunking by `opts.batch_chunk` only partitions the table. Two calls
-/// with the same `(shape, target)` return identical [`TuneEstimate`]s on
-/// any bit-deterministic source.
+/// [`CycleSource::estimate_many`] contract, and chunking by
+/// `opts.batch_chunk` only partitions the table. Two calls with the same
+/// `(shape, target)` return identical [`TuneEstimate`]s on any
+/// bit-deterministic source. A candidate costs microseconds to estimate,
+/// less than a thread spawn, so parallelism lives a level up: across
+/// whole searches, in [`tune_all`].
 pub fn tune(
     src: &dyn CycleSource,
     shape: &ConvShape,
@@ -191,7 +187,7 @@ pub fn tune(
     let mut cycles: Vec<f64> = Vec::with_capacity(works.len());
     for part in works.chunks(chunk) {
         cycles.extend(
-            src.estimate_many(opts.jobs, part)
+            src.estimate_many(1, part)
                 .into_iter()
                 .map(CycleCount::as_f64),
         );
@@ -211,6 +207,42 @@ pub fn tune(
         candidates: works.len() as u64,
         pruned,
     }
+}
+
+/// Run one search per `(shape, target)` pair, fanned out over `jobs`
+/// workers, and return one estimate per pair in input order.
+///
+/// Pairs with the same [`tune_key`] denote the same search, so each
+/// distinct key is searched once (in first-seen order) and its estimate
+/// is shared by every pair that names it. Each search runs sequentially
+/// on one worker ([`tune`] at the default options); since a search is a
+/// pure function of its key, the result equals `pairs.iter().map(tune)`
+/// element by element for every `jobs`.
+///
+/// # Panics
+///
+/// Panics if `jobs == 0`.
+pub fn tune_all(
+    src: &dyn CycleSource,
+    jobs: usize,
+    pairs: &[(ConvShape, TuneTarget)],
+) -> Vec<TuneEstimate> {
+    let mut index: HashMap<String, usize> = HashMap::with_capacity(pairs.len());
+    let mut distinct: Vec<(ConvShape, TuneTarget)> = Vec::new();
+    let slots: Vec<usize> = pairs
+        .iter()
+        .map(|&(shape, target)| {
+            *index.entry(tune_key(&shape, target)).or_insert_with(|| {
+                distinct.push((shape, target));
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let opts = TuneOptions::default();
+    let found = iconv_par::par_map_jobs(jobs, &distinct, |(shape, target)| {
+        tune(src, shape, *target, &opts)
+    });
+    slots.into_iter().map(|i| found[i]).collect()
 }
 
 /// The work value whose canonical key names this search in every cache:
@@ -283,27 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn search_is_invariant_to_jobs_and_chunking() {
+    fn search_is_invariant_to_chunking() {
         let src = InProcessSource::new();
-        let reference = tune(
-            &src,
-            &shape(),
-            TuneTarget::Tpu { chip: TpuChip::V3 },
-            &TuneOptions {
-                jobs: 1,
-                batch_chunk: 1,
-            },
-        );
-        for jobs in [2, 5] {
-            for batch_chunk in [3, 7, 64] {
-                let got = tune(
-                    &src,
-                    &shape(),
-                    TuneTarget::Tpu { chip: TpuChip::V3 },
-                    &TuneOptions { jobs, batch_chunk },
-                );
-                assert_eq!(got, reference, "jobs={jobs} chunk={batch_chunk}");
-            }
+        let v3 = TuneTarget::Tpu { chip: TpuChip::V3 };
+        let reference = tune(&src, &shape(), v3, &TuneOptions { batch_chunk: 1 });
+        for batch_chunk in [3, 7, 64] {
+            let got = tune(&src, &shape(), v3, &TuneOptions { batch_chunk });
+            assert_eq!(got, reference, "chunk={batch_chunk}");
         }
     }
 

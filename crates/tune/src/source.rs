@@ -1,9 +1,7 @@
 //! Where cycle estimates come from.
 //!
-//! [`CycleSource`] started life in `iconv-bench`'s summary module; it moved
-//! here so the tuner, the bench runners, and the serve engine all measure
-//! through one trait. The bench crate re-exports these names, so historical
-//! `iconv_bench::summary::CycleSource` paths still resolve.
+//! The tuner, the bench runners, and the serve engine all measure through
+//! the one [`CycleSource`] trait defined here.
 
 use iconv_api::{resolve_gpu, resolve_tpu, GpuHwSpec, TpuHwSpec, Work};
 use iconv_gpusim::{GpuAlgo, GpuConfig, GpuSim};

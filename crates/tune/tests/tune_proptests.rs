@@ -1,10 +1,12 @@
 //! Property tests for the tuner and its persistent cache.
 //!
 //! * **Determinism** — one `TuneKey` has one answer: for any shape and
-//!   target, every `(jobs, batch_chunk)` measurement mechanics returns a
+//!   target, every `batch_chunk` measurement chunking returns a
 //!   `TuneEstimate` whose rendered `tune_body` is byte-identical to the
-//!   sequential reference. This is the invariant that lets a tune be
-//!   cached, single-flighted, and fleet-routed like any other estimate.
+//!   unchunked reference, and `tune_all` over any worker count returns
+//!   exactly the per-pair `tune` answers, in input order. This is the
+//!   invariant that lets a tune be cached, single-flighted, and
+//!   fleet-routed like any other estimate.
 //! * **Persistence** — `to_json`/`from_json` is the identity, and corrupt
 //!   input (truncations, byte flips) is rejected with an error, never a
 //!   panic.
@@ -17,7 +19,7 @@ use proptest::prelude::*;
 use iconv_api::proto::tune_body;
 use iconv_api::{TpuChip, TuneTarget};
 use iconv_tensor::ConvShape;
-use iconv_tune::{tune, tune_key, InProcessSource, TuneCache, TuneOptions};
+use iconv_tune::{tune, tune_all, tune_key, InProcessSource, TuneCache, TuneOptions};
 
 /// Small-but-varied valid conv shapes (the tuner measures dozens of
 /// candidates per case, so keep each simulation cheap).
@@ -44,24 +46,56 @@ fn target_strategy() -> impl proptest::strategy::Strategy<Value = TuneTarget> {
     ])
 }
 
+/// One entry of a sweep list: which of two shapes, and a target. Six
+/// draws over two shapes always repeat a shape, and often a whole pair.
+fn pick() -> impl proptest::strategy::Strategy<Value = (usize, TuneTarget)> {
+    (0usize..2, target_strategy())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same key, same answer: the worker count and the measurement
-    /// chunking never change a tune result, byte for byte.
+    /// Same key, same answer: the measurement chunking never changes a
+    /// tune result, byte for byte.
     #[test]
-    fn tune_is_deterministic_across_jobs_and_chunking(
+    fn tune_is_deterministic_across_chunking(
         shape in shape_strategy(),
         target in target_strategy(),
-        jobs in 1usize..6,
         batch_chunk in 1usize..12,
     ) {
         let src = InProcessSource::new();
-        let reference = tune(&src, &shape, target, &TuneOptions { jobs: 1, batch_chunk: 1 });
-        let got = tune(&src, &shape, target, &TuneOptions { jobs, batch_chunk });
+        let reference = tune(&src, &shape, target, &TuneOptions { batch_chunk: 1 });
+        let got = tune(&src, &shape, target, &TuneOptions { batch_chunk });
         prop_assert_eq!(got, reference);
         prop_assert_eq!(tune_body(&got), tune_body(&reference));
         prop_assert!(got.tuned_cycles <= got.default_cycles);
+    }
+
+    /// The worker count never changes a sweep: `tune_all` returns exactly
+    /// the per-pair `tune` answers, element by element and byte for byte,
+    /// with repeated shapes and mixed targets in the list.
+    #[test]
+    fn tune_all_matches_per_pair_tune_for_any_jobs(
+        a in shape_strategy(),
+        b in shape_strategy(),
+        picks in (pick(), pick(), pick(), pick(), pick(), pick()),
+        len in 1usize..=6,
+        jobs in 1usize..6,
+    ) {
+        let src = InProcessSource::new();
+        let shapes = [a, b];
+        let picks = [picks.0, picks.1, picks.2, picks.3, picks.4, picks.5];
+        let pairs: Vec<_> = picks[..len]
+            .iter()
+            .map(|&(i, target)| (shapes[i], target))
+            .collect();
+        let got = tune_all(&src, jobs, &pairs);
+        prop_assert_eq!(got.len(), pairs.len());
+        for ((shape, target), est) in pairs.iter().zip(&got) {
+            let want = tune(&src, shape, *target, &TuneOptions::default());
+            prop_assert_eq!(*est, want, "jobs {} shape {:?} target {:?}", jobs, shape, target);
+            prop_assert_eq!(tune_body(est), tune_body(&want));
+        }
     }
 
     /// The JSON rendering round-trips exactly, and its rendering is a
