@@ -1,30 +1,169 @@
 //! Content-addressed cache keys.
 //!
-//! A key is the canonical text rendering of *what will be simulated*:
-//! the fully-resolved hardware configuration, the lowering mode after the
-//! engine's own normalization, and every shape field. Requests that denote
-//! the same simulation — default vs. explicit padding, `dilation:1` spelled
-//! or omitted, an `hw` override equal to the chip default, an auto
-//! channel-first group vs. the same group requested explicitly — collapse
-//! to one key; requests that differ in any observable way never collide,
-//! because every component is an injective rendering
-//! ([`iconv_tpusim::TpuConfig::canonical_key`] and friends).
+//! A work's identity is a value, [`Canonical`]: the fully-resolved
+//! hardware configuration, the pass, the lowering mode after the engine's
+//! own normalization, and the shape. Requests that denote the same
+//! simulation — default vs. explicit padding, `dilation:1` spelled or
+//! omitted, an `hw` override equal to the chip default, an auto
+//! channel-first group vs. the same group requested explicitly — resolve
+//! to equal values. The cache key is that value's `Display`
+//! ([`canonical_key`]); requests that differ in any observable way never
+//! collide, because every component renders injectively
+//! ([`iconv_tpusim::TpuConfig::canonical_key`] and friends), so two works
+//! share a key exactly when they share a value.
 
-use iconv_core::{tpu_group_size, ConvPass};
+use std::fmt::{self, Write as _};
+
+use iconv_core::ConvPass;
+use iconv_gpusim::{GpuAlgo, GpuConfig, GpuConfigError};
 use iconv_tensor::ConvShape;
-use iconv_tpusim::{SimMode, TpuConfig};
+use iconv_tpusim::{SimMode, TpuConfig, TpuConfigError};
 
-use crate::gpuspec::resolve_gpu;
-use crate::spec::resolve_tpu;
+use crate::tuned::TuneTarget;
 use crate::work::Work;
 
-/// Canonical rendering of a shape: every field, fixed order. Symmetric
-/// shapes render exactly as they always have; an asymmetric trailing pad
-/// appends a `phe`/`pwe` suffix, which keeps the rendering injective (a
-/// symmetric key never contains the suffix, and two asymmetric shapes
-/// differing only in trailing pad render differently).
-fn shape_key(s: &ConvShape) -> String {
-    let mut key = format!(
+/// Why a work's hardware overrides do not resolve: the typed config
+/// builder's own error.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HwError {
+    /// A TPU spec failed validation.
+    Tpu(TpuConfigError),
+    /// A GPU spec failed validation.
+    Gpu(GpuConfigError),
+}
+
+impl fmt::Display for HwError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HwError::Tpu(e) => e.fmt(f),
+            HwError::Gpu(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for HwError {}
+
+/// The identity of a unit of work: what will be simulated, as a value.
+/// Two works denote the same simulation exactly when their `Canonical`s
+/// are equal, and exactly when their [`canonical_key`]s are equal — the
+/// key is this value's `Display`. (The config builders admit only finite
+/// positive floats, on which `==` and the shortest-round-trip rendering
+/// agree.)
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Canonical(Kind);
+
+// Fields are ordered so that equality rejects early on the axes a tune
+// search varies (lowering, then hardware); the shape, shared by every
+// candidate of a search, comes last.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    TpuConv {
+        lowering: Lowering,
+        pass: ConvPass,
+        cfg: TpuConfig,
+        shape: ConvShape,
+    },
+    TpuGemm {
+        m: usize,
+        n: usize,
+        k: usize,
+        cfg: TpuConfig,
+    },
+    GpuConv {
+        algo: GpuAlgo,
+        pass: ConvPass,
+        cfg: GpuConfig,
+        shape: ConvShape,
+    },
+    Tune {
+        target: TuneTarget,
+        shape: ConvShape,
+    },
+}
+
+/// A TPU lowering after the engine's normalization: every channel-first
+/// spelling (automatic or an explicit group) is its effective group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lowering {
+    Group(usize),
+    Explicit,
+    Indirect,
+}
+
+impl Canonical {
+    /// Resolve `work` to its identity: hardware overrides against the chip
+    /// defaults (validated by the typed builder) and the TPU lowering
+    /// through [`SimMode::effective_group`], exactly as the engine runs it.
+    pub fn new(work: &Work) -> Result<Self, HwError> {
+        let kind = match *work {
+            // A plain conv is its forward pass, so both spellings share one
+            // identity.
+            Work::TpuConv { shape, mode, hw } => {
+                return Self::new(&Work::TpuPass {
+                    shape,
+                    pass: ConvPass::Forward,
+                    mode,
+                    hw,
+                });
+            }
+            Work::GpuConv { shape, algo, hw } => {
+                return Self::new(&Work::GpuPass {
+                    shape,
+                    pass: ConvPass::Forward,
+                    algo,
+                    hw,
+                });
+            }
+            Work::TpuPass {
+                shape,
+                pass,
+                mode,
+                hw,
+            } => {
+                let cfg = hw.resolve().map_err(HwError::Tpu)?;
+                let lowering = match (mode, mode.effective_group(cfg.array.rows, &shape, pass)) {
+                    (SimMode::Indirect, _) => Lowering::Indirect,
+                    (_, Some(group)) => Lowering::Group(group),
+                    (_, None) => Lowering::Explicit,
+                };
+                Kind::TpuConv {
+                    lowering,
+                    pass,
+                    cfg,
+                    shape,
+                }
+            }
+            Work::TpuGemm { m, n, k, hw } => Kind::TpuGemm {
+                m,
+                n,
+                k,
+                cfg: hw.resolve().map_err(HwError::Tpu)?,
+            },
+            Work::GpuPass {
+                shape,
+                pass,
+                algo,
+                hw,
+            } => Kind::GpuConv {
+                algo,
+                pass,
+                cfg: hw.resolve().map_err(HwError::Gpu)?,
+                shape,
+            },
+            Work::Tune { shape, target } => Kind::Tune { target, shape },
+        };
+        Ok(Canonical(kind))
+    }
+}
+
+/// Every shape field, fixed order. Symmetric shapes render exactly as they
+/// always have; an asymmetric trailing pad appends a `phe`/`pwe` suffix,
+/// which keeps the rendering injective (a symmetric key never contains the
+/// suffix, and two asymmetric shapes differing only in trailing pad render
+/// differently).
+fn write_shape(f: &mut fmt::Formatter<'_>, s: &ConvShape) -> fmt::Result {
+    write!(
+        f,
         "n{},ci{},hi{},wi{},co{},hf{},wf{},sh{},sw{},ph{},pw{},dh{},dw{}",
         s.n,
         s.ci,
@@ -39,121 +178,80 @@ fn shape_key(s: &ConvShape) -> String {
         s.pad_w,
         s.dil_h,
         s.dil_w
-    );
+    )?;
     if s.has_asymmetric_pad() {
-        key.push_str(&format!(",phe{},pwe{}", s.pad_h_end, s.pad_w_end));
+        write!(f, ",phe{},pwe{}", s.pad_h_end, s.pad_w_end)?;
     }
-    key
+    Ok(())
 }
 
-/// Canonical rendering of a TPU lowering mode *for a given shape, pass and
-/// array*: `ChannelFirst` resolves its automatic group size, and explicit
-/// groups are clamped exactly the way the engine clamps them, so every
-/// spelling that runs the same schedule shares a key. The duplication axis
-/// is pass-dependent — forward duplicates over `Ci`, dgrad/transpose over
-/// `Co`, and wgrad streams a plain GEMM with no duplication at all (every
-/// group spelling collapses to `g1`).
-fn tpu_mode_key(mode: SimMode, shape: &ConvShape, pass: ConvPass, cfg: &TpuConfig) -> String {
-    let rows = cfg.array.rows;
-    let channels = if pass.gathers_output_side() {
-        shape.co
+/// A forward pass keeps the plain conv's four-segment key, so both
+/// spellings share one cache identity. Other passes insert a pass
+/// segment, which keeps them injective against every plain key by segment
+/// count alone.
+fn write_pass(f: &mut fmt::Formatter<'_>, pass: ConvPass) -> fmt::Result {
+    if pass == ConvPass::Forward {
+        Ok(())
     } else {
-        shape.ci
-    };
-    let max_group = if pass == ConvPass::Wgrad {
-        1
-    } else {
-        rows.div_ceil(channels)
-    };
-    match mode {
-        SimMode::Explicit => "explicit".to_owned(),
-        SimMode::Indirect => "indirect".to_owned(),
-        SimMode::ChannelFirst => {
-            format!(
-                "cf:g{}",
-                tpu_group_size(rows, channels, shape.wf).clamp(1, max_group)
-            )
+        write!(f, "{};", pass.wire())
+    }
+}
+
+impl fmt::Display for Canonical {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Kind::TpuConv {
+                lowering,
+                pass,
+                cfg,
+                shape,
+            } => {
+                write!(f, "{};conv;", cfg.canonical_key())?;
+                write_pass(f, *pass)?;
+                match lowering {
+                    Lowering::Group(g) => write!(f, "cf:g{g};")?,
+                    Lowering::Explicit => f.write_str("explicit;")?,
+                    Lowering::Indirect => f.write_str("indirect;")?,
+                }
+                write_shape(f, shape)
+            }
+            Kind::TpuGemm { m, n, k, cfg } => {
+                write!(f, "{};gemm;m{m},n{n},k{k}", cfg.canonical_key())
+            }
+            Kind::GpuConv {
+                algo,
+                pass,
+                cfg,
+                shape,
+            } => {
+                // The default spec resolves to exactly the V100 preset, so
+                // pre-existing GPU requests keep their historical keys.
+                write!(f, "{};conv;", cfg.canonical_key())?;
+                write_pass(f, *pass)?;
+                write!(f, "{algo};")?;
+                write_shape(f, shape)
+            }
+            Kind::Tune { target, shape } => {
+                write!(f, "tune;{};", target.key_component())?;
+                write_shape(f, shape)
+            }
         }
-        SimMode::ChannelFirstGrouped(g) => format!("cf:g{}", g.clamp(1, max_group)),
     }
 }
 
-/// Derive the cache key for a unit of work.
+/// Derive the cache key for a unit of work whose hardware is already
+/// known to be valid (anything that passed request validation, or was
+/// built from in-tree presets): its [`Canonical`] identity, rendered.
+///
+/// # Panics
+///
+/// Panics if the work's hardware spec fails validation.
 pub fn canonical_key(work: &Work) -> String {
-    match work {
-        Work::TpuConv { shape, mode, hw } => {
-            let cfg = resolve_tpu(hw);
-            format!(
-                "{};conv;{};{}",
-                cfg.canonical_key(),
-                tpu_mode_key(*mode, shape, ConvPass::Forward, &cfg),
-                shape_key(shape)
-            )
-        }
-        Work::TpuPass {
-            shape,
-            pass,
-            mode,
-            hw,
-        } => {
-            // A forward-pass spelling denotes exactly the plain conv, so it
-            // aliases the historical key. Non-forward keys insert the pass
-            // segment, which keeps them injective against every plain key
-            // by segment count alone.
-            if *pass == ConvPass::Forward {
-                return canonical_key(&Work::TpuConv {
-                    shape: *shape,
-                    mode: *mode,
-                    hw: *hw,
-                });
-            }
-            let cfg = resolve_tpu(hw);
-            format!(
-                "{};conv;{};{};{}",
-                cfg.canonical_key(),
-                pass.wire(),
-                tpu_mode_key(*mode, shape, *pass, &cfg),
-                shape_key(shape)
-            )
-        }
-        Work::TpuGemm { m, n, k, hw } => {
-            format!("{};gemm;m{m},n{n},k{k}", resolve_tpu(hw).canonical_key())
-        }
-        Work::GpuConv { shape, algo, hw } => {
-            // The default spec resolves to exactly the V100 preset, so
-            // pre-existing GPU requests keep their historical keys.
-            format!(
-                "{};conv;{};{}",
-                resolve_gpu(hw).canonical_key(),
-                algo,
-                shape_key(shape)
-            )
-        }
-        Work::GpuPass {
-            shape,
-            pass,
-            algo,
-            hw,
-        } => {
-            if *pass == ConvPass::Forward {
-                return canonical_key(&Work::GpuConv {
-                    shape: *shape,
-                    algo: *algo,
-                    hw: *hw,
-                });
-            }
-            format!(
-                "{};conv;{};{};{}",
-                resolve_gpu(hw).canonical_key(),
-                pass.wire(),
-                algo,
-                shape_key(shape)
-            )
-        }
-        Work::Tune { shape, target } => {
-            format!("tune;{};{}", target.key_component(), shape_key(shape))
-        }
-    }
+    let id = Canonical::new(work).expect("hardware spec failed validation");
+    // Keys run to ~250 bytes; one allocation up front beats regrowing.
+    let mut key = String::with_capacity(256);
+    write!(key, "{id}").expect("writing to a String cannot fail");
+    key
 }
 
 #[cfg(test)]
@@ -417,6 +515,34 @@ mod tests {
         assert_ne!(
             spell(SimMode::ChannelFirstGrouped(1)),
             spell(SimMode::ChannelFirstGrouped(2))
+        );
+    }
+
+    #[test]
+    fn invalid_hardware_is_an_error_not_a_panic() {
+        let tpu = Work::TpuConv {
+            shape: shape(),
+            mode: SimMode::Explicit,
+            hw: TpuHwSpec {
+                mxus: Some(0),
+                ..TpuHwSpec::default()
+            },
+        };
+        assert_eq!(
+            Canonical::new(&tpu),
+            Err(HwError::Tpu(TpuConfigError::ZeroMxus))
+        );
+        let gpu = Work::GpuConv {
+            shape: shape(),
+            algo: GpuAlgo::CudnnImplicit,
+            hw: GpuHwSpec {
+                sms: Some(0),
+                ..GpuHwSpec::default()
+            },
+        };
+        assert_eq!(
+            Canonical::new(&gpu),
+            Err(HwError::Gpu(GpuConfigError::ZeroSms))
         );
     }
 

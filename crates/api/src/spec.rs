@@ -7,7 +7,7 @@ use iconv_tpusim::{TpuConfig, TpuConfigError};
 /// Which TPU generation a request targets; resolved to a full
 /// [`TpuConfig`] (plus the optional overrides in [`TpuHwSpec`]) before
 /// simulation and cache-key derivation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TpuChip {
     /// TPU-v2 (paper Table II) — the default.
     #[default]

@@ -20,7 +20,7 @@ use crate::work::Work;
 /// Which simulator a tune searches, plus the constraints held fixed during
 /// the search (the chip generation is a constraint, not an axis: asking
 /// "best config for v3" must not answer with v2 hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuneTarget {
     /// Search the TPU design space (mode × array × layout × schedule).
     Tpu {

@@ -23,7 +23,8 @@
 //!   clients, and streamed back in item order.
 //! * **Cache** — a content-addressed, lock-striped LRU
 //!   ([`cache::StripedCache`]) keyed on the canonical rendering of
-//!   (hardware config × lowering mode × layout × shape) ([`key`]).
+//!   (hardware config × lowering mode × layout × shape)
+//!   ([`iconv_api::canonical_key`]).
 //!   Equivalent request spellings share entries; distinct simulations never
 //!   collide. Keys hash onto independent shards so concurrent hits never
 //!   serialize on one lock, bodies are shared [`cache::Body`]s (a warm hit
@@ -60,7 +61,6 @@ pub mod engine;
 // resolving to it.
 pub use iconv_api::json;
 pub use iconv_api::proto as protocol;
-pub mod key;
 pub mod router;
 pub mod server;
 
@@ -69,7 +69,6 @@ pub use client::{
     BatchItemResult, Client, ClientError, Estimate, RetryClient, RetryPolicy,
     DEFAULT_CONNECT_TIMEOUT,
 };
-pub use key::canonical_key;
 pub use protocol::{
     ErrorKind, EstimateRequest, GpuEstimate, GpuHwSpec, Op, Request, Response, ShardStat,
     StatsSnapshot, SweepError, SweepSpec, SweepTarget, TpuChip, TpuEstimate, TpuHwSpec,

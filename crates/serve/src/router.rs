@@ -59,11 +59,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iconv_api::HashRing;
+use iconv_api::{canonical_key, HashRing};
 use iconv_faults::{FaultPoint, FaultSite};
 
 use crate::client::{Client, RetryPolicy};
-use crate::key;
 use crate::protocol::{
     self, batch_summary_body, encode_batch, encode_simple, error_body, finish_item_response,
     finish_response, pong_body, shards_body, shutdown_body, stats_body, ErrorKind, Request,
@@ -609,7 +608,7 @@ fn handle_batch(
     deadline_ms: Option<u64>,
 ) -> Vec<String> {
     let n = items.len();
-    let keys: Vec<String> = items.iter().map(key::canonical_key).collect();
+    let keys: Vec<String> = items.iter().map(canonical_key).collect();
     let mut bodies: Vec<Option<String>> = (0..n).map(|_| None).collect();
     let mut unresolved: Vec<usize> = (0..n).collect();
     while !unresolved.is_empty() {
@@ -773,7 +772,7 @@ fn handle_request(line: &str, shared: &RouterShared, conns: &mut [Option<Client>
                     &error_body(ErrorKind::ShuttingDown, "router is draining"),
                 )];
             }
-            let cache_key = key::canonical_key(&req.work);
+            let cache_key = canonical_key(&req.work);
             match forward_raw(shared, conns, &cache_key, line) {
                 Some(response) => vec![response],
                 None => vec![finish_response(
@@ -795,7 +794,7 @@ fn handle_request(line: &str, shared: &RouterShared, conns: &mut [Option<Client>
             // owns a layer's search, its tune-store entry, and every
             // `"hw":"tuned"` estimate derived from it — the same affinity
             // the plain `tune` op gets through its canonical key.
-            let cache_key = key::canonical_key(&Work::Tune { shape, target });
+            let cache_key = canonical_key(&Work::Tune { shape, target });
             match forward_raw(shared, conns, &cache_key, line) {
                 Some(response) => vec![response],
                 None => vec![finish_response(

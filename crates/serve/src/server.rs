@@ -81,13 +81,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use iconv_api::canonical_key;
 use iconv_faults::{FaultPoint, FaultSite, Injection};
 use iconv_par::{Job, PoolBusy, WorkerPool};
 use iconv_trace::TraceSink;
 
 use crate::cache::{Admission, Body, FlightOutcome, StripedCache};
 use crate::engine;
-use crate::key;
 use crate::protocol::{
     self, batch_summary_body, error_body, finish_item_response, finish_response, pong_body,
     shards_body, shutdown_body, stats_body, ErrorKind, LatencyHist, Request, StatsSnapshot, Work,
@@ -970,7 +970,7 @@ fn handle_estimate(
         ));
         return 1;
     }
-    let cache_key = key::canonical_key(&req.work);
+    let cache_key = canonical_key(&req.work);
     let shard = shared.cache.shard_of(&cache_key);
     let is_tune = matches!(req.work, Work::Tune { .. });
     // Hit fast path: served inline by the reader, deadline ignored
@@ -1139,7 +1139,7 @@ fn handle_tuned(
         ));
         return 1;
     }
-    let tune_key = key::canonical_key(&Work::Tune { shape, target });
+    let tune_key = canonical_key(&Work::Tune { shape, target });
     // Store fast path: the layer has been tuned before (this boot, or a
     // warm-loaded cache file). Delegating to `handle_estimate` gives the
     // concrete work the full ordinary treatment — cache, single-flight,
@@ -1210,7 +1210,7 @@ fn handle_tuned(
                 &iconv_tune::TuneOptions::default(),
             );
             let concrete = est.best.to_work(shape);
-            let concrete_key = key::canonical_key(&concrete);
+            let concrete_key = canonical_key(&concrete);
             let cached = job_shared.cache.get(&concrete_key);
             let hit = cached.is_some();
             let body = cached.unwrap_or_else(|| Body::from(engine::evaluate(&concrete)));
@@ -1329,7 +1329,7 @@ fn handle_batch(
     let mut pending: VecDeque<PendingSim> = VecDeque::new();
     let mut dedup: BTreeMap<String, usize> = BTreeMap::new();
     for (i, work) in items.into_iter().enumerate() {
-        let cache_key = key::canonical_key(&work);
+        let cache_key = canonical_key(&work);
         let shard = shared.cache.shard_of(&cache_key);
         let is_tune = matches!(work, Work::Tune { .. });
         if let Some(body) = shared.cache.get(&cache_key) {

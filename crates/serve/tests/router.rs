@@ -45,7 +45,7 @@ fn works(n: usize) -> Vec<Work> {
     let mut seen = HashSet::new();
     workload_works(true)
         .into_iter()
-        .filter(|w| seen.insert(iconv_serve::canonical_key(w)))
+        .filter(|w| seen.insert(iconv_api::canonical_key(w)))
         .take(n)
         .collect()
 }

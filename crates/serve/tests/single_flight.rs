@@ -48,7 +48,7 @@ fn concurrent_misses_of_one_key_simulate_once() {
     let mut seen = std::collections::HashSet::new();
     let runway: Vec<Work> = workload_works(false)
         .into_iter()
-        .filter(|w| seen.insert(iconv_serve::canonical_key(w)))
+        .filter(|w| seen.insert(iconv_api::canonical_key(w)))
         .collect();
     assert!(runway.len() >= 32, "runway too short to be convincing");
     let mut loader = Client::connect_retry(&addr, DEFAULT_CONNECT_TIMEOUT).expect("connect");

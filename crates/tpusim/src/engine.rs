@@ -67,6 +67,39 @@ pub enum SimMode {
     Indirect,
 }
 
+impl SimMode {
+    /// The channel-first duplication group this mode runs `pass` of
+    /// `shape` with on an array of `rows` PE rows, or `None` for
+    /// `Explicit`, which streams a materialized matrix without one.
+    ///
+    /// This is the one normalization of a group: the engine simulates
+    /// with it, and cache keys render it, so every spelling that runs the
+    /// same schedule shares one. `ChannelFirst` and `Indirect` take the
+    /// automatic group, and an explicit group is clamped to what fills the
+    /// array. The duplication axis depends on the pass: forward
+    /// duplicates over `Ci`, dgrad/transpose over `Co` (the gathered
+    /// tensor is dY), and wgrad streams a plain GEMM whose K runs over
+    /// pixels, so every spelling collapses to a group of 1.
+    pub fn effective_group(self, rows: usize, shape: &ConvShape, pass: ConvPass) -> Option<usize> {
+        let channels = if pass.gathers_output_side() {
+            shape.co
+        } else {
+            shape.ci
+        };
+        let max_group = if pass == ConvPass::Wgrad {
+            1
+        } else {
+            rows.div_ceil(channels)
+        };
+        let group = match self {
+            SimMode::Explicit => return None,
+            SimMode::ChannelFirst | SimMode::Indirect => tpu_group_size(rows, channels, shape.wf),
+            SimMode::ChannelFirstGrouped(g) => g,
+        };
+        Some(group.clamp(1, max_group))
+    }
+}
+
 /// The simulator: immutable configuration plus per-call simulation.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -161,17 +194,16 @@ impl Simulator {
         mode: SimMode,
         sink: &mut dyn TraceSink,
     ) -> LayerReport {
-        let rep = match mode {
-            SimMode::ChannelFirst => {
-                let g = tpu_group_size(self.config.array.rows, shape.ci, shape.wf);
-                self.simulate_channel_first(name, shape, g, sink)
-            }
-            SimMode::ChannelFirstGrouped(g) => self.simulate_channel_first(name, shape, g, sink),
-            SimMode::Explicit => self.simulate_explicit(name, shape, sink),
-            SimMode::Indirect => {
-                let g = tpu_group_size(self.config.array.rows, shape.ci, shape.wf);
-                let rep = self.simulate_channel_first(name, shape, g, sink);
-                self.apply_indirect_overhead(rep, shape, ConvPass::Forward, sink)
+        let rows = self.config.array.rows;
+        let rep = match mode.effective_group(rows, shape, ConvPass::Forward) {
+            None => self.simulate_explicit(name, shape, sink),
+            Some(group) => {
+                let rep = self.simulate_channel_first(name, shape, group, sink);
+                if mode == SimMode::Indirect {
+                    self.apply_indirect_overhead(rep, shape, ConvPass::Forward, sink)
+                } else {
+                    rep
+                }
             }
         };
         emit_layer_trace(sink, &rep);
@@ -205,26 +237,23 @@ impl Simulator {
             return self.simulate_conv_traced(name, shape, mode, sink);
         }
         let rows = self.config.array.rows;
-        // dgrad/transpose duplicate over the *output* channels (the gathered
-        // tensor is dY); wgrad has no duplication axis (its K runs over
-        // pixels), so every group spelling collapses to the same schedule.
-        let auto_group = match pass {
-            ConvPass::Wgrad => 1,
-            _ => tpu_group_size(rows, shape.co, shape.wf),
-        };
-        let rep = match mode {
-            SimMode::ChannelFirst => self.simulate_pass_implicit(name, shape, pass, auto_group),
-            SimMode::ChannelFirstGrouped(g) => self.simulate_pass_implicit(name, shape, pass, g),
-            SimMode::Explicit => self.simulate_pass_explicit(name, shape, pass, sink),
-            SimMode::Indirect => {
-                let rep = self.simulate_pass_implicit(name, shape, pass, auto_group);
-                self.apply_indirect_overhead(rep, shape, pass, sink)
+        let rep = match mode.effective_group(rows, shape, pass) {
+            None => self.simulate_pass_explicit(name, shape, pass, sink),
+            Some(group) => {
+                let rep = self.simulate_pass_implicit(name, shape, pass, group);
+                if mode == SimMode::Indirect {
+                    self.apply_indirect_overhead(rep, shape, pass, sink)
+                } else {
+                    rep
+                }
             }
         };
         emit_layer_trace(sink, &rep);
         rep
     }
 
+    /// The forward channel-first schedule at a duplication `group`
+    /// already normalized by [`SimMode::effective_group`].
     fn simulate_channel_first(
         &self,
         name: &str,
@@ -235,8 +264,6 @@ impl Simulator {
         let cfg = &self.config;
         let (rows, cols) = (cfg.array.rows, cfg.array.cols);
         let eb = cfg.vector_mem.elem_bytes as u64;
-        // Duplication cannot usefully exceed what fills the array.
-        let group = group.clamp(1, rows.div_ceil(shape.ci));
         let sched = TileSchedule::multi_tile(shape, group);
         let m_total = shape.lowered_rows();
 
@@ -581,7 +608,8 @@ impl Simulator {
     /// dilation holes exactly as the forward path skips stride holes, so
     /// DRAM traffic is the tensor footprint, same as forward. wgrad is the
     /// plain-GEMM shape (K runs over pixels, so taps give no packing trick)
-    /// with the IFMap gathered on the fly.
+    /// with the IFMap gathered on the fly. `group` is already normalized by
+    /// [`SimMode::effective_group`].
     fn simulate_pass_implicit(
         &self,
         name: &str,
@@ -598,24 +626,23 @@ impl Simulator {
         let ofmap_bytes = shape.ofmap_elems() as u64 * eb;
 
         // --- Compute phase: streamed passes over the array.
-        let (total_passes, row_occ, group) = match pass {
+        let (total_passes, row_occ) = match pass {
             // K over pixels: dense GEMM tiling of the reduction dimension.
             ConvPass::Wgrad => {
                 let k = shape.n * shape.out_h() * shape.out_w();
                 let passes = k.div_ceil(rows) as u64 * shape.co.div_ceil(cols) as u64;
                 let occ = k as f64 / (k.div_ceil(rows) * rows) as f64;
-                (passes, occ, 1)
+                (passes, occ)
             }
             // K over taps × Co: the mirrored channel-first pass structure,
             // duplicating the rotated filter `group` ways when Co is small.
             _ => {
-                let group = group.clamp(1, rows.div_ceil(shape.co));
                 let cap = (group * shape.co).min(rows).max(1);
                 let passes_per_row = (shape.wf * shape.co).div_ceil(cap) as u64;
                 let passes = shape.hf as u64 * passes_per_row * shape.ci.div_ceil(cols) as u64;
                 let occ =
                     ((shape.wf * shape.co) as f64 / (passes_per_row as f64 * rows as f64)).min(1.0);
-                (passes, occ, group)
+                (passes, occ)
             }
         };
         let stream_cycles = total_passes.div_ceil(cfg.mxus as u64) * m as u64;
@@ -1116,6 +1143,37 @@ mod tests {
         let imp = sim().simulate_pass("l", &s, ConvPass::Dgrad, SimMode::ChannelFirst);
         let exp = sim().simulate_pass("l", &s, ConvPass::Dgrad, SimMode::Explicit);
         assert!(imp.cycles <= exp.cycles, "{} vs {}", imp.cycles, exp.cycles);
+    }
+
+    #[test]
+    fn spellings_with_one_effective_group_run_one_schedule() {
+        use iconv_core::ALL_PASSES;
+        // ci=8, co=64: forward clamps groups at 16, dgrad/transpose at 2.
+        let s = layer(8, 28, 64, 3, 1, 2);
+        for pass in ALL_PASSES {
+            let run = |mode| sim().simulate_pass("l", &s, pass, mode);
+            let auto = SimMode::ChannelFirst
+                .effective_group(128, &s, pass)
+                .unwrap();
+            assert_eq!(
+                run(SimMode::ChannelFirst),
+                run(SimMode::ChannelFirstGrouped(auto))
+            );
+            for g in 0..=20 {
+                let group = SimMode::ChannelFirstGrouped(g)
+                    .effective_group(128, &s, pass)
+                    .unwrap();
+                assert_eq!(
+                    run(SimMode::ChannelFirstGrouped(g)),
+                    run(SimMode::ChannelFirstGrouped(group)),
+                    "{pass} g{g}"
+                );
+            }
+        }
+        assert_eq!(
+            SimMode::Explicit.effective_group(128, &s, ConvPass::Forward),
+            None
+        );
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //! asks, per layer, whether any nearby design-space point beats it. A
 //! [`search::tune`] enumerates a fixed candidate grid (TPU: lowering mode
 //! x array size x ifmap layout x pipeline schedule; GPU: kernel algorithm
-//! x block tile x residency x schedule), prunes infeasible and
-//! key-aliasing points, measures the rest through a [`CycleSource`], and
-//! returns the strict-minimum winner with the Table-II default as the
-//! reported baseline — candidate 0 *is* the default, so tuned cycles never
-//! exceed default cycles.
+//! x block tile x residency x schedule), prunes infeasible points and
+//! aliases, measures the rest through a [`CycleSource`], and returns the
+//! strict-minimum winner with the Table-II default as the reported
+//! baseline — candidate 0 *is* the default, so tuned cycles never exceed
+//! default cycles. Pruning is by value: one [`iconv_api::Canonical`]
+//! resolve per candidate both validates it and gives its identity, and a
+//! candidate whose identity equals a kept one's is an alias.
 //!
 //! Everything is deterministic: same `(shape, target)` in, byte-identical
 //! [`iconv_api::proto::TuneEstimate`] out, for every measurement chunking

@@ -2,16 +2,19 @@
 //!
 //! A tune is a deterministic function of (shape, target): enumerate a
 //! fixed candidate grid with the Table-II default configuration first,
-//! prune candidates that fail hardware validation or alias an already-kept
-//! canonical key, measure the survivors through a [`CycleSource`], and keep
-//! the strict minimum with first-in-order tie-breaking. Because candidate 0
-//! *is* the default, the winner's cycles are `<=` the default's by
-//! construction — the CI gate checks the inequality end to end anyway.
+//! prune candidates that fail hardware validation or whose [`Canonical`]
+//! identity equals an already-kept one, measure the survivors through a
+//! [`CycleSource`], and keep the strict minimum with first-in-order
+//! tie-breaking. Because candidate 0 *is* the default, the winner's cycles
+//! are `<=` the default's by construction — the CI gate checks the
+//! inequality end to end anyway.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use iconv_api::proto::TuneEstimate;
-use iconv_api::{canonical_key, GpuHwSpec, TpuChip, TpuHwSpec, TuneTarget, TunedConfig, Work};
+use iconv_api::{
+    canonical_key, Canonical, GpuHwSpec, TpuChip, TpuHwSpec, TuneTarget, TunedConfig, Work,
+};
 use iconv_core::PipelineSchedule;
 use iconv_gpusim::GpuAlgo;
 use iconv_tensor::{ConvShape, Layout};
@@ -62,7 +65,7 @@ pub fn candidates(target: TuneTarget) -> Vec<TunedConfig> {
         TuneTarget::Tpu { chip } => {
             // mode x array x layout x schedule, nested in that order. The
             // grouped modes intentionally overlap ChannelFirst's automatic
-            // group on many shapes — canonical-key dedup prunes the alias.
+            // group on many shapes — value-identity dedup prunes the alias.
             const MODES: [SimMode; 6] = [
                 SimMode::ChannelFirst,
                 SimMode::ChannelFirstGrouped(1),
@@ -139,18 +142,10 @@ pub fn candidates(target: TuneTarget) -> Vec<TunedConfig> {
     out
 }
 
-/// Whether a candidate's hardware resolves to a valid configuration.
-fn is_valid(cfg: &TunedConfig) -> bool {
-    match cfg {
-        TunedConfig::Tpu { hw, .. } => hw.resolve().is_ok(),
-        TunedConfig::Gpu { hw, .. } => hw.resolve().is_ok(),
-    }
-}
-
 /// Run the design-space search for one layer, on the calling thread.
 ///
 /// Deterministic in every argument: the candidate order is fixed, pruning
-/// is value-based, measurement order is preserved by the
+/// compares [`Canonical`] identities, measurement order is preserved by the
 /// [`CycleSource::estimate_many`] contract, and chunking by
 /// `opts.batch_chunk` only partitions the table. Two calls with the same
 /// `(shape, target)` return identical [`TuneEstimate`]s on any
@@ -165,20 +160,19 @@ pub fn tune(
 ) -> TuneEstimate {
     let grid = candidates(target);
     let mut kept: Vec<(TunedConfig, Work)> = Vec::with_capacity(grid.len());
-    let mut seen = BTreeSet::new();
+    let mut seen: Vec<Canonical> = Vec::with_capacity(grid.len());
     let mut pruned = 0u64;
     for cfg in grid {
-        if !is_valid(&cfg) {
-            pruned += 1;
-            continue;
-        }
         let work = cfg.to_work(*shape);
-        // Candidates that denote the same simulation collapse to the same
-        // canonical key; measuring one of them is measuring all of them.
-        if seen.insert(canonical_key(&work)) {
-            kept.push((cfg, work));
-        } else {
-            pruned += 1;
+        // One resolve both validates the candidate and names the simulation
+        // it denotes. Candidates with equal identities run the same
+        // simulation; measuring one of them is measuring all of them.
+        match Canonical::new(&work) {
+            Ok(id) if !seen.contains(&id) => {
+                seen.push(id);
+                kept.push((cfg, work));
+            }
+            _ => pruned += 1,
         }
     }
 
@@ -212,12 +206,12 @@ pub fn tune(
 /// Run one search per `(shape, target)` pair, fanned out over `jobs`
 /// workers, and return one estimate per pair in input order.
 ///
-/// Pairs with the same [`tune_key`] denote the same search, so each
-/// distinct key is searched once (in first-seen order) and its estimate
-/// is shared by every pair that names it. Each search runs sequentially
-/// on one worker ([`tune`] at the default options); since a search is a
-/// pure function of its key, the result equals `pairs.iter().map(tune)`
-/// element by element for every `jobs`.
+/// Equal pairs denote the same search (they share a [`tune_key`]), so
+/// each distinct pair is searched once (in first-seen order) and its
+/// estimate is shared by every pair that names it. Each search runs
+/// sequentially on one worker ([`tune`] at the default options); since a
+/// search is a pure function of its pair, the result equals
+/// `pairs.iter().map(tune)` element by element for every `jobs`.
 ///
 /// # Panics
 ///
@@ -227,12 +221,12 @@ pub fn tune_all(
     jobs: usize,
     pairs: &[(ConvShape, TuneTarget)],
 ) -> Vec<TuneEstimate> {
-    let mut index: HashMap<String, usize> = HashMap::with_capacity(pairs.len());
+    let mut index: HashMap<(ConvShape, TuneTarget), usize> = HashMap::with_capacity(pairs.len());
     let mut distinct: Vec<(ConvShape, TuneTarget)> = Vec::new();
     let slots: Vec<usize> = pairs
         .iter()
         .map(|&(shape, target)| {
-            *index.entry(tune_key(&shape, target)).or_insert_with(|| {
+            *index.entry((shape, target)).or_insert_with(|| {
                 distinct.push((shape, target));
                 distinct.len() - 1
             })
